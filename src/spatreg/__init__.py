@@ -63,7 +63,6 @@ from .inference import (
     normalize_density,
     normalize_mean,
     normalize_variance,
-    write_band_csv,
 )
 from .kernels import (
     EPANECHNIKOV,

@@ -4,7 +4,9 @@ Subcommands: simulate, estimate, band, select-bandwidth, mc-clt,
 mc-coverage, loss-curves. Every run writes a config echo JSON holding the
 fully resolved arguments, sufficient to replay the run exactly.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical degeneracy.
+Exit codes: 0 success, 2 usage error, 3 data error (an input file that is
+missing, unreadable or malformed, or any other file-system error),
+4 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -33,17 +35,17 @@ from .errors import (
     TooManySitesError,
 )
 from .estimators import density_estimate, jackknife_mean, nw_mean, variance_estimate
-from .inference import band_csv_rows, confidence_band
+from .inference import band_table, confidence_band
 from .kernels import kernel_by_name
 from .montecarlo import (
     McConfig,
+    coverage_table,
+    losses_table,
     run_clt_experiment,
     run_coverage_experiment,
     run_loss_curves,
-    write_coverage_csv,
-    write_losses_csv,
-    write_scores_csv,
-    write_summary_json,
+    scores_table,
+    summary_json_dict,
 )
 
 EXIT_OK = 0
@@ -51,7 +53,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DATA_ERRORS = (DatasetFormatError, DuplicateLocationError, FileNotFoundError)
+# OSError: an input that is missing, a directory or unreadable, or any other
+# file-system failure; UnicodeDecodeError: an input that is not UTF-8 text.
+DATA_ERRORS = (DatasetFormatError, DuplicateLocationError, OSError, UnicodeDecodeError)
 NUMERIC_ERRORS = (
     AllDegenerateError,
     DegenerateDensityError,
@@ -83,35 +87,38 @@ def parse_point_grid(text: str) -> np.ndarray:
     return start + step * np.arange(count + 1)
 
 
+def _jsonable(value):
+    # The one NaN rule of every JSON output: a non-finite float becomes null.
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    skip = {"handler"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
+    return {key: value for key, value in vars(args).items() if key != "handler"}
 
 
-def _write_rows(rows: list[dict], path: Path, fmt: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_rows(columns: list[str], rows: list[list], path: Path, fmt: str) -> None:
+    """Write one table: CSV with a header line (None as an empty cell), or
+    JSON {"rows": [...]} with one object per row."""
     if fmt == "json":
-        clean = [
-            {k: (None if isinstance(v, float) and not math.isfinite(v) else v) for k, v in row.items()}
-            for row in rows
-        ]
-        _write_json(path, {"rows": clean})
+        _write_json(path, {"rows": [dict(zip(columns, row)) for row in rows]})
         return
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(columns)
         writer.writerows(rows)
 
 
@@ -154,16 +161,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         curve = variance_estimate(dataset, points, args.bandwidth, mean_bandwidth, kernel)
     rows = [
-        {
-            "x": float(x),
-            "value": float(v),
-            "target": curve.estimator_tag,
-            "bandwidth": curve.bandwidth,
-        }
+        [float(x), float(v), curve.estimator_tag, curve.bandwidth]
         for x, v in zip(curve.design_points, curve.values)
     ]
     out = Path(args.out)
-    _write_rows(rows, out, args.format)
+    _write_rows(["x", "value", "target", "bandwidth"], rows, out, args.format)
     _write_json(Path(str(out) + ".config.json"), {"config": _echo(args)})
     print(f"wrote {len(rows)} design points to {out}")
     return EXIT_OK
@@ -185,7 +187,7 @@ def _cmd_band(args: argparse.Namespace) -> int:
         shared_rate_bandwidth=(args.rate_bandwidth == "shared"),
     )
     out = Path(args.out)
-    _write_rows(band_csv_rows(band), out, args.format)
+    _write_rows(*band_table(band), out, args.format)
     _write_json(
         Path(str(out) + ".config.json"),
         {"config": _echo(args), "rate_bandwidth": band.rate_bandwidth},
@@ -206,19 +208,13 @@ def _cmd_select_bandwidth(args: argparse.Namespace) -> int:
         BandwidthGrid(variance_pilot, args.grid_size, args.threshold),
         kernel,
     )
-    payload = {
-        "config": _echo(args),
-        "mean": {
-            "adjacent_distances": [float(d) for d in selection.mean_trace.adjacent_distances],
-            "chosen_index": selection.mean_trace.chosen_index,
-            "chosen_bandwidth": selection.mean_trace.chosen_bandwidth,
-        },
-        "variance": {
-            "adjacent_distances": [float(d) for d in selection.variance_trace.adjacent_distances],
-            "chosen_index": selection.variance_trace.chosen_index,
-            "chosen_bandwidth": selection.variance_trace.chosen_bandwidth,
-        },
-    }
+    payload = {"config": _echo(args)}
+    for stage, trace in (("mean", selection.mean_trace), ("variance", selection.variance_trace)):
+        payload[stage] = {
+            "adjacent_distances": [float(d) for d in trace.adjacent_distances],
+            "chosen_index": trace.chosen_index,
+            "chosen_bandwidth": trace.chosen_bandwidth,
+        }
     _write_json(Path(args.out), payload)
     print(
         f"selected mean bandwidth {selection.b_hat:g}, "
@@ -246,41 +242,49 @@ def _mc_config(args: argparse.Namespace, replications: int, tau_list=(0.05,)) ->
     )
 
 
-def _finish_mc(args: argparse.Namespace, summary, writers: dict) -> int:
+def _finish_mc(args: argparse.Namespace, summary, name: str, table) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, writer in writers.items():
-        writer(summary, outdir / name)
-    write_summary_json(summary, outdir / "summary.json")
+    table_file = f"{name}.{args.format}"
+    _write_rows(*table, outdir / table_file, args.format)
+    _write_json(outdir / "summary.json", summary_json_dict(summary))
     _write_json(outdir / "config.json", {"config": _echo(args)})
-    print(f"wrote {sorted([*writers, 'summary.json', 'config.json'])} to {outdir}")
+    print(f"wrote {sorted([table_file, 'summary.json', 'config.json'])} to {outdir}")
     return EXIT_OK
 
 
 def _cmd_mc_clt(args: argparse.Namespace) -> int:
     config = _mc_config(args, args.replications)
     summary = run_clt_experiment(config, workers=args.workers)
-    return _finish_mc(args, summary, {"scores.csv": write_scores_csv})
+    return _finish_mc(args, summary, "scores", scores_table(summary))
 
 
 def _cmd_mc_coverage(args: argparse.Namespace) -> int:
     tau_list = args.tau if args.tau else [0.05]
     config = _mc_config(args, args.replications, tau_list=tau_list)
     summary = run_coverage_experiment(config, workers=args.workers)
-    return _finish_mc(args, summary, {"coverage.csv": write_coverage_csv})
+    return _finish_mc(args, summary, "coverage", coverage_table(summary))
 
 
 def _cmd_loss_curves(args: argparse.Namespace) -> int:
     config = _mc_config(args, args.replications)
     grid = BandwidthGrid(args.pilot, args.grid_size, args.threshold)
     summary = run_loss_curves(config, grid, workers=args.workers)
-    return _finish_mc(args, summary, {"losses.csv": write_losses_csv})
+    return _finish_mc(args, summary, "losses", losses_table(summary))
+
+
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers (results are worker-count invariant)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="tabular output format")
+    parser.add_argument("--workers", type=_worker_count, default=1,
+                        help="parallel workers, capped at the replication and CPU counts "
+                        "(results are worker-count invariant)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="table format of estimate, band, mc-clt, mc-coverage and loss-curves")
     parser.add_argument("--kernel", default="epanechnikov", help="kernel name")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,39 +97,46 @@ class CurveEstimate:
 def read_dataset_csv(path) -> SpatialDataset:
     """Read a dataset from a CSV file with header u,v,x,y.
 
-    Malformed rows are rejected with the offending 1-based line number.
+    Malformed rows, including non-finite cells such as nan or inf, are
+    rejected with the offending 1-based line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(1, "empty file") from None
-        if tuple(c.strip().lower() for c in header) != DATASET_HEADER:
-            raise DatasetFormatError(1, f"expected header u,v,x,y, got {','.join(header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DatasetFormatError(lineno, f"expected 4 fields, got {len(row)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise DatasetFormatError(lineno, f"non-numeric field {bad!r}") from None
+            rows = _numeric_rows(reader)
+        except csv.Error as exc:
+            raise DatasetFormatError(reader.line_num, str(exc)) from None
     if len(rows) < 2:
         raise DatasetFormatError(len(rows) + 1, "need at least two data rows")
     arr = np.asarray(rows, dtype=float)
     return SpatialDataset(arr[:, :2], arr[:, 2], arr[:, 3])
 
 
-def _is_float(cell: str) -> bool:
+def _numeric_rows(reader) -> list[list[float]]:
     try:
-        float(cell)
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError(1, "empty file") from None
+    if tuple(c.strip().lower() for c in header) != DATASET_HEADER:
+        raise DatasetFormatError(1, f"expected header u,v,x,y, got {','.join(header)}")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DatasetFormatError(lineno, f"expected 4 fields, got {len(row)}")
+        rows.append([_finite_float(cell, lineno) for cell in row])
+    return rows
+
+
+def _finite_float(cell: str, lineno: int) -> float:
+    try:
+        value = float(cell)
     except ValueError:
-        return False
-    return True
+        raise DatasetFormatError(lineno, f"non-numeric field {cell!r}") from None
+    if not math.isfinite(value):
+        raise DatasetFormatError(lineno, f"non-finite field {cell!r}")
+    return value
 
 
 def write_dataset_csv(dataset: SpatialDataset, path) -> None:

@@ -18,13 +18,12 @@ class DuplicateLocationError(SpatregError):
 
 
 class DegenerateDensityError(SpatregError):
-    """Kernel mass vanished at one or more design points."""
+    """A quantity (`what`) came out non-finite at one or more design points."""
 
-    def __init__(self, points, message=None):
+    def __init__(self, what, points):
         self.points = [float(p) for p in points]
         super().__init__(
-            message
-            or "degenerate kernel mass at design points " + ", ".join(f"{p:g}" for p in self.points)
+            f"{what} degenerate at design points " + ", ".join(f"{p:g}" for p in self.points)
         )
 
 

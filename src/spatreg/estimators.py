@@ -64,6 +64,19 @@ def _ratio_smooth(
     return values
 
 
+def _jackknife_smooth(
+    kernel: Kernel,
+    x_obs: np.ndarray,
+    targets: np.ndarray,
+    points,
+    bandwidth: float,
+) -> np.ndarray:
+    """2 m(b) - m(sqrt(2) b) of the ratio smoother; NaN where either is degenerate."""
+    base = _ratio_smooth(kernel, x_obs, targets, points, bandwidth)
+    wide = _ratio_smooth(kernel, x_obs, targets, points, math.sqrt(2.0) * bandwidth)
+    return 2.0 * base - wide
+
+
 def density_estimate(
     dataset: SpatialDataset,
     design_points,
@@ -100,19 +113,13 @@ def jackknife_mean(
     design_points,
     bandwidth: float,
     kernel: Kernel = EPANECHNIKOV,
-    mean_estimator=None,
 ) -> CurveEstimate:
     """Bias-corrected mean estimate 2 m(b) - m(sqrt(2) b).
 
     The combination cancels the leading O(b^2) smoothing bias of the plain
-    local average. `mean_estimator` may inject a replacement with the same
-    signature as nw_mean (used by tests and available for experimentation);
-    degenerate points of either constituent propagate as NaN.
+    local average; degenerate points of either constituent propagate as NaN.
     """
-    estimate = nw_mean if mean_estimator is None else mean_estimator
-    base = estimate(dataset, design_points, bandwidth, kernel)
-    wide = estimate(dataset, design_points, math.sqrt(2.0) * bandwidth, kernel)
-    values = 2.0 * base.values - wide.values
+    values = _jackknife_smooth(kernel, dataset.x, dataset.y, design_points, bandwidth)
     return CurveEstimate(design_points, values, bandwidth, "jackknife_mean")
 
 
@@ -127,9 +134,7 @@ def jackknife_residuals(
     from a grid), which costs O(n^2) but matches the estimator definition.
     NaN marks observations whose mean estimate was degenerate.
     """
-    base = _ratio_smooth(kernel, dataset.x, dataset.y, dataset.x, mean_bandwidth)
-    wide = _ratio_smooth(kernel, dataset.x, dataset.y, dataset.x, math.sqrt(2.0) * mean_bandwidth)
-    return dataset.y - (2.0 * base - wide)
+    return dataset.y - _jackknife_smooth(kernel, dataset.x, dataset.y, dataset.x, mean_bandwidth)
 
 
 def variance_estimate(

@@ -8,7 +8,6 @@ the distribution of the maximum of independent standard normals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -35,8 +34,7 @@ __all__ = [
     "normalize_mean",
     "normalize_variance",
     "confidence_band",
-    "band_csv_rows",
-    "write_band_csv",
+    "band_table",
 ]
 
 BAND_TARGETS = ("density", "mean", "variance")
@@ -74,11 +72,7 @@ class NormalizedScores:
 def _require_finite(values: np.ndarray, design_points: np.ndarray, what: str) -> None:
     bad = ~np.isfinite(np.asarray(values))
     if bad.any():
-        raise DegenerateDensityError(
-            np.asarray(design_points, dtype=float)[bad],
-            message=f"{what} degenerate at design points "
-            + ", ".join(f"{p:g}" for p in np.asarray(design_points, dtype=float)[bad]),
-        )
+        raise DegenerateDensityError(what, np.asarray(design_points, dtype=float)[bad])
 
 
 def _positive_truth(values, design_points, what) -> np.ndarray:
@@ -268,36 +262,20 @@ def confidence_band(
 
     bad = ~np.isfinite(centers) | ~np.isfinite(half_widths)
     if bad.any():
-        raise DegenerateDensityError(
-            xs[bad],
-            message=f"{target} band degenerate at design points "
-            + ", ".join(f"{p:g}" for p in xs[bad]),
-        )
+        raise DegenerateDensityError(f"{target} band", xs[bad])
     return ConfidenceBand(
         xs, centers, half_widths, float(tau), q_tau, target, own_bandwidth, rate_bandwidth
     )
 
 
-def band_csv_rows(band: ConfidenceBand) -> list[dict]:
-    """Rows for the band CSV: x, center, lo, hi, target, tau, q_tau, bandwidth."""
-    return [
-        {
-            "x": float(x),
-            "center": float(c),
-            "lo": float(c - hw),
-            "hi": float(c + hw),
-            "target": band.target,
-            "tau": band.tau,
-            "q_tau": band.q_tau,
-            "bandwidth": band.bandwidth,
-        }
+def band_table(band: ConfidenceBand) -> tuple[list[str], list[list]]:
+    """Column names and rows of a band: x, center, lo, hi, target, tau, q_tau, bandwidth."""
+    columns = ["x", "center", "lo", "hi", "target", "tau", "q_tau", "bandwidth"]
+    rows = [
+        [
+            float(x), float(c), float(c - hw), float(c + hw),
+            band.target, band.tau, band.q_tau, band.bandwidth,
+        ]
         for x, c, hw in zip(band.design_points, band.centers, band.half_widths)
     ]
-
-
-def write_band_csv(band: ConfidenceBand, path) -> None:
-    rows = band_csv_rows(band)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    return columns, rows

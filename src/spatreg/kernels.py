@@ -24,14 +24,8 @@ __all__ = [
     "TRIANGULAR",
     "eval_kernel",
     "kernel_constants",
-    "kernel_mass",
     "kernel_by_name",
 ]
-
-# Node count of the fixed Simpson rule used for the integral constants.
-# Deterministic by construction; for the polynomial profiles below the
-# composite error is ~1e-13, far inside every stated tolerance.
-SIMPSON_POINTS = 2001
 
 
 def _epanechnikov_profile(u):
@@ -52,25 +46,30 @@ _PROFILES = {
     "triangular": _triangular_profile,
 }
 
+# (integral of K^2, integral of z^2 K) by direct integration of each profile.
+_CONSTANTS = {
+    "epanechnikov": (3.0 / 5.0, 1.0 / 5.0),
+    "uniform": (1.0 / 2.0, 1.0 / 3.0),
+    "triangular": (2.0 / 3.0, 1.0 / 6.0),
+}
+
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric kernel vanishing outside [-support_radius, support_radius].
+    """Symmetric kernel with unit mass, vanishing outside [-1, 1].
 
+    A wider or narrower kernel is the same kernel at a rescaled bandwidth.
     Instances are immutable values; evaluation is a pure function, safe to
     call from any number of concurrent workers.
     """
 
     kind: str
-    support_radius: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _PROFILES:
             raise ValueError(
                 f"unknown kernel {self.kind!r}; choose one of {sorted(_PROFILES)}"
             )
-        if not self.support_radius > 0:
-            raise ValueError("support_radius must be positive")
 
     def __call__(self, z):
         return eval_kernel(self, z)
@@ -94,44 +93,16 @@ TRIANGULAR = Kernel("triangular")
 
 
 def eval_kernel(kernel: Kernel, z) -> np.ndarray:
-    """Evaluate the kernel at z, exactly zero outside the support.
-
-    The unit-support profile is rescaled so the kernel keeps unit mass for
-    any support radius.
-    """
-    u = np.asarray(z, dtype=float) / kernel.support_radius
-    return _PROFILES[kernel.kind](u) / kernel.support_radius
-
-
-def _simpson(values: np.ndarray, dx: float) -> float:
-    if values.size % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number of nodes")
-    return float(
-        (dx / 3.0)
-        * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum())
-    )
+    """Evaluate the kernel at z, exactly zero outside [-1, 1]."""
+    return _PROFILES[kernel.kind](np.asarray(z, dtype=float))
 
 
 @lru_cache(maxsize=None)
 def kernel_constants(kernel: Kernel) -> KernelConstants:
-    """Compute (integral of K^2, integral of z^2 K) by the fixed Simpson rule."""
-    r = kernel.support_radius
-    z = np.linspace(-r, r, SIMPSON_POINTS)
-    k = eval_kernel(kernel, z)
-    dx = z[1] - z[0]
-    return KernelConstants(_simpson(k * k, dx), _simpson(z * z * k, dx))
-
-
-def kernel_mass(kernel: Kernel) -> float:
-    """Quadrature mass of the kernel over its support; 1 for the built-ins."""
-    r = kernel.support_radius
-    z = np.linspace(-r, r, SIMPSON_POINTS)
-    return _simpson(eval_kernel(kernel, z), z[1] - z[0])
+    """Closed-form (integral of K^2, integral of z^2 K) of the kernel."""
+    return KernelConstants(*_CONSTANTS[kernel.kind])
 
 
 def kernel_by_name(name: str) -> Kernel:
-    """Look up a built-in kernel by its lowercase name."""
-    key = name.strip().lower()
-    if key not in _PROFILES:
-        raise ValueError(f"unknown kernel {name!r}; choose one of {sorted(_PROFILES)}")
-    return Kernel(key)
+    """Look up a built-in kernel by name, ignoring case and outer spaces."""
+    return Kernel(name.strip().lower())

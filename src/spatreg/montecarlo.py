@@ -10,9 +10,8 @@ cannot change any output value.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -44,10 +43,10 @@ __all__ = [
     "run_clt_experiment",
     "run_coverage_experiment",
     "run_loss_curves",
-    "write_scores_csv",
-    "write_coverage_csv",
-    "write_losses_csv",
-    "write_summary_json",
+    "scores_table",
+    "coverage_table",
+    "losses_table",
+    "summary_json_dict",
 ]
 
 SCORE_TARGETS = ("mean", "variance")
@@ -225,7 +224,8 @@ def _exact_mean_sd(values: np.ndarray) -> tuple[float, float]:
 
 def _map_replications(worker, config: McConfig, workers: int):
     reps = range(config.replications)
-    if workers and workers > 1:
+    workers = min(workers, config.replications, os.cpu_count() or 1)
+    if workers > 1:
         chunk = max(1, config.replications // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, reps, chunksize=chunk))
@@ -425,63 +425,49 @@ def run_loss_curves(config: McConfig, grid: BandwidthGrid, workers: int = 1) -> 
     )
 
 
-def write_scores_csv(summary: McSummary, path) -> None:
-    """scores.csv: replication, design_point, target, score."""
-    if summary.scores is None:
-        raise ValueError("summary carries no scores")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "design_point", "target", "score"])
-        points = summary.config["design_points"]
-        for target in SCORE_TARGETS:
-            block = summary.scores[target]
-            for row, r in zip(block, summary.score_replications):
-                for point, score in zip(points, row):
-                    writer.writerow([r, point, target, repr(float(score))])
+def scores_table(summary: McSummary) -> tuple[list[str], list[list]]:
+    """Column names and rows of the scores table: replication, design_point, target, score."""
+    points = summary.config["design_points"]
+    rows = [
+        [r, point, target, float(score)]
+        for target in SCORE_TARGETS
+        for block_row, r in zip(summary.scores[target], summary.score_replications)
+        for point, score in zip(points, block_row)
+    ]
+    return ["replication", "design_point", "target", "score"], rows
 
 
-def write_coverage_csv(summary: McSummary, path) -> None:
-    """coverage.csv: target, tau, covered, total, failures, rate."""
-    if summary.coverage is None:
-        raise ValueError("summary carries no coverage section")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "tau", "covered", "total", "failures", "rate"])
-        for target, per_tau in summary.coverage.items():
-            for tau, cell in per_tau.items():
-                writer.writerow(
-                    [target, tau, cell["covered"], cell["total"], cell["failures"], cell["rate"]]
-                )
+def coverage_table(summary: McSummary) -> tuple[list[str], list[list]]:
+    """Column names and rows of the coverage table: target, tau, covered, total, failures, rate."""
+    rows = [
+        [target, tau, cell["covered"], cell["total"], cell["failures"], cell["rate"]]
+        for target, per_tau in summary.coverage.items()
+        for tau, cell in per_tau.items()
+    ]
+    return ["target", "tau", "covered", "total", "failures", "rate"], rows
 
 
-def write_losses_csv(summary: McSummary, path) -> None:
-    """losses.csv: replication, target, bandwidth, sup_loss, adjacent_distance.
+def losses_table(summary: McSummary) -> tuple[list[str], list[list]]:
+    """Column names and rows of the losses table:
+    replication, target, bandwidth, sup_loss, adjacent_distance.
 
     The adjacent distance refers to the step from the previous grid
-    bandwidth and is empty on the first grid entry.
+    bandwidth and is None on the first grid entry.
     """
-    if summary.losses is None:
-        raise ValueError("summary carries no losses section")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "target", "bandwidth", "sup_loss", "adjacent_distance"])
-        for target in LOSS_TARGETS:
-            for i, r in enumerate(summary.loss_replications):
-                for l, bw in enumerate(summary.loss_bandwidths):
-                    adjacent = "" if l == 0 else repr(float(summary.adjacent[target][i, l - 1]))
-                    writer.writerow(
-                        [r, target, bw, repr(float(summary.losses[target][i, l])), adjacent]
-                    )
-
-
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    rows = []
+    for target in LOSS_TARGETS:
+        for i, r in enumerate(summary.loss_replications):
+            for l, bw in enumerate(summary.loss_bandwidths):
+                adjacent = None if l == 0 else float(summary.adjacent[target][i, l - 1])
+                rows.append([r, target, float(bw), float(summary.losses[target][i, l]), adjacent])
+    return ["replication", "target", "bandwidth", "sup_loss", "adjacent_distance"], rows
 
 
 def summary_json_dict(summary: McSummary) -> dict:
-    """JSON-ready view: config echo, statistics, degeneracy counts, notes."""
+    """JSON view: config echo, statistics, degeneracy counts, notes.
+
+    Undefined statistics stay NaN here; the file writer stores them as null.
+    """
     payload = {
         "kind": summary.kind,
         "config": summary.config,
@@ -495,9 +481,9 @@ def summary_json_dict(summary: McSummary) -> dict:
             target: [
                 {
                     "design_point": s.design_point,
-                    "mean": _jsonable(s.mean),
-                    "sd": _jsonable(s.sd),
-                    "ks_statistic": _jsonable(s.ks_statistic),
+                    "mean": s.mean,
+                    "sd": s.sd,
+                    "ks_statistic": s.ks_statistic,
                     "count": s.count,
                 }
                 for s in stats
@@ -506,10 +492,7 @@ def summary_json_dict(summary: McSummary) -> dict:
         }
     if summary.coverage is not None:
         payload["coverage"] = {
-            target: {
-                repr(tau): {k: _jsonable(v) for k, v in cell.items()}
-                for tau, cell in per_tau.items()
-            }
+            target: {repr(tau): cell for tau, cell in per_tau.items()}
             for target, per_tau in summary.coverage.items()
         }
     if summary.losses is not None:
@@ -525,9 +508,3 @@ def summary_json_dict(summary: McSummary) -> dict:
             mean_losses[target] = columns
         payload["mean_sup_loss"] = mean_losses
     return payload
-
-
-def write_summary_json(summary: McSummary, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary_json_dict(summary), fh, indent=2)
-        fh.write("\n")

@@ -237,6 +237,49 @@ class TestMcCommands:
         assert len(summary["loss_bandwidths"]) == 4
 
 
+    @pytest.mark.parametrize(
+        "command, table, extra",
+        [
+            ("mc-clt", "scores", []),
+            ("mc-coverage", "coverage", ["--tau", 0.05, "--tau", 0.2]),
+            ("loss-curves", "losses", ["--grid-size", 4]),
+        ],
+    )
+    def test_json_format(self, tmp_path, command, table, extra):
+        outdir = tmp_path / "out"
+        assert (
+            run(command, "--replications", 2, "--n", 120, "--format", "json",
+                *extra, "--outdir", outdir)
+            == 0
+        )
+        assert not (outdir / f"{table}.csv").exists()
+        rows = json.loads((outdir / f"{table}.json").read_text())["rows"]
+        csv_dir = tmp_path / "csv"
+        assert run(command, "--replications", 2, "--n", 120, *extra, "--outdir", csv_dir) == 0
+        with open(csv_dir / f"{table}.csv") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        # Same table either way: CSV cells are the JSON values as text, with
+        # null written as an empty cell.
+        assert len(rows) > 0
+        as_text = [{k: "" if v is None else str(v) for k, v in row.items()} for row in rows]
+        assert as_text == csv_rows
+        if table == "losses":
+            assert rows[0]["adjacent_distance"] is None
+
+    def test_all_degenerate_clt_writes_header_only(self, tmp_path):
+        outdir = tmp_path / "clt"
+        assert (
+            run("mc-clt", "--replications", 2, "--n", 120, "--points", "40:1:42",
+                "--outdir", outdir)
+            == 0
+        )
+        assert (outdir / "scores.csv").read_text() == "replication,design_point,target,score\n"
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["replications_used"] == 0
+        assert summary["degeneracies"] == 2
+        assert summary["score_stats"]["mean"][0]["mean"] is None
+
+
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = run("estimate", "--in", tmp_path / "nope.csv", "--target", "mean",
@@ -249,6 +292,47 @@ class TestExitCodes:
         code = run("estimate", "--in", bad, "--target", "mean", "--out", tmp_path / "x.csv")
         assert code == 3
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_nonfinite_cell_is_data_error(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"u,v,x,y\n1,2,3,4\n5,6,{cell},8\n")
+        code = run("estimate", "--in", bad, "--target", "mean", "--out", tmp_path / "x.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 3" in err
+
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        code = run("estimate", "--in", tmp_path, "--target", "mean", "--out", tmp_path / "x.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "IsADirectoryError" in err
+
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"u,v,x,y\n1,2,3,4\n\xff\xfe,6,7,8\n")
+        code = run("estimate", "--in", bad, "--target", "mean", "--out", tmp_path / "x.csv")
+        assert code == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('u,v,x,y\n1,2,3,4\n5,6,"' + "1" * 200_000 + '",8\n')
+        code = run("estimate", "--in", bad, "--target", "mean", "--out", tmp_path / "x.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 3" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        code = run("mc-clt", "--replications", 2, "--n", 120, "--workers", workers,
+                   "--outdir", tmp_path / "clt")
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "clt").exists()
 
     def test_unknown_kernel_is_usage_error(self, sample_csv, tmp_path):
         code = run("estimate", "--in", sample_csv, "--target", "mean",

@@ -8,7 +8,6 @@ import pytest
 import reference
 from conftest import make_dataset
 from spatreg import (
-    CurveEstimate,
     DegenerateVarianceError,
     EmptyIntervalError,
     density_estimate,
@@ -88,21 +87,6 @@ class TestJackknifeMean:
         d = make_dataset(x, np.full(15, -2.0))
         est = jackknife_mean(d, [0.0], 0.7)
         assert est.values[0] == pytest.approx(-2.0, rel=1e-15)
-
-    def test_quadratic_bias_cancellation_with_stub(self):
-        # Stub mean estimator whose value is m + c * b^2 exactly: the
-        # combination must return m up to the rounding of (sqrt(2) b)^2.
-        m, c = 1.5, 0.8
-
-        def stub(dataset, points, bandwidth, kernel):
-            points = np.asarray(points, dtype=float)
-            return CurveEstimate(
-                points, np.full(points.shape, m + c * bandwidth**2), bandwidth, "mean"
-            )
-
-        d = make_dataset([0.0, 1.0], [0.0, 0.0])
-        est = jackknife_mean(d, [0.0], 0.6, mean_estimator=stub)
-        assert est.values[0] == pytest.approx(m, abs=1e-12)
 
     def test_symmetric_pair(self):
         d = make_dataset([-0.5, 0.5], [1.0, 3.0])

@@ -21,9 +21,9 @@ from spatreg import (
     normalize_variance,
     nw_mean,
     variance_estimate,
-    write_band_csv,
 )
 from spatreg.dgp import DEFAULT_MA, DEFAULT_REGRESSION
+from spatreg.inference import band_table
 from spatreg.kernels import EPANECHNIKOV, Kernel
 
 CONSTANTS = kernel_constants(EPANECHNIKOV)
@@ -264,13 +264,11 @@ class TestConfidenceBand:
         with pytest.raises(NonpositiveV4Error):
             confidence_band(d, [-0.1, 0.0, 0.1], "variance", 1.0, 1.0, 0.05)
 
-    def test_csv_writer_columns(self, rng, tmp_path):
+    def test_csv_writer_columns(self, rng):
         d = _band_dataset(rng)
         band = confidence_band(d, np.linspace(-0.5, 0.5, 11), "mean", 0.5, 0.5, 0.05)
-        path = tmp_path / "band.csv"
-        write_band_csv(band, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,center,lo,hi,target,tau,q_tau,bandwidth"
-        assert len(lines) == 12
-        first = lines[1].split(",")
-        assert float(first[2]) <= float(first[1]) <= float(first[3])
+        columns, rows = band_table(band)
+        assert columns == ["x", "center", "lo", "hi", "target", "tau", "q_tau", "bandwidth"]
+        assert len(rows) == 11
+        first = rows[0]
+        assert first[2] <= first[1] <= first[3]

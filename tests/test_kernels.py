@@ -12,13 +12,12 @@ from spatreg.kernels import (
     eval_kernel,
     kernel_by_name,
     kernel_constants,
-    kernel_mass,
 )
 
 ALL_KERNELS = [EPANECHNIKOV, UNIFORM, TRIANGULAR]
 
-# Closed-form (l2_norm_sq, c_k) per kernel, worked out by direct integration
-# of the polynomial profiles.
+# Closed-form (l2_norm_sq, c_k) per kernel, written out independently of the
+# package's own table.
 ANALYTIC_CONSTANTS = {
     "epanechnikov": (0.6, 0.2),
     "uniform": (0.5, 1.0 / 3.0),
@@ -49,7 +48,7 @@ class TestEvalKernel:
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
     def test_compact_support_pointwise(self, kernel):
-        z = np.linspace(kernel.support_radius * (1 + 1e-12), 5.0, 1000)
+        z = np.linspace(1.0 + 1e-12, 5.0, 1000)
         np.testing.assert_array_equal(eval_kernel(kernel, z), 0.0)
         np.testing.assert_array_equal(eval_kernel(kernel, -z), 0.0)
 
@@ -68,12 +67,13 @@ class TestKernelConstants:
     def test_analytic_values(self, kernel):
         expected_l2, expected_ck = ANALYTIC_CONSTANTS[kernel.kind]
         constants = kernel_constants(kernel)
-        assert constants.l2_norm_sq == pytest.approx(expected_l2, abs=1e-6)
-        assert constants.c_k == pytest.approx(expected_ck, abs=1e-6)
+        assert constants.l2_norm_sq == pytest.approx(expected_l2, rel=1e-15)
+        assert constants.c_k == pytest.approx(expected_ck, rel=1e-15)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
     def test_quadrature_oracle(self, kernel):
-        # Adaptive quadrature as an independent check on the fixed Simpson rule.
+        # Adaptive quadrature of eval_kernel as an independent check on the
+        # closed forms.
         l2, _ = integrate.quad(lambda z: float(eval_kernel(kernel, z)) ** 2, -1, 1)
         ck, _ = integrate.quad(lambda z: z * z * float(eval_kernel(kernel, z)), -1, 1)
         constants = kernel_constants(kernel)
@@ -82,7 +82,8 @@ class TestKernelConstants:
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
     def test_unit_mass(self, kernel):
-        assert kernel_mass(kernel) == pytest.approx(1.0, abs=1e-8)
+        mass, _ = integrate.quad(lambda z: float(eval_kernel(kernel, z)), -1, 1)
+        assert mass == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind)
     def test_strictly_positive(self, kernel):
@@ -108,7 +109,3 @@ class TestValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             Kernel("cosine")
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            Kernel("uniform", support_radius=0.0)

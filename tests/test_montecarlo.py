@@ -13,13 +13,14 @@ from spatreg import (
     run_coverage_experiment,
     run_loss_curves,
 )
+from spatreg import montecarlo
 from spatreg.dgp import Polynomial, RegressionSpec
 from spatreg.montecarlo import (
+    coverage_table,
+    losses_table,
+    scores_table,
     summary_json_dict,
     truth_functions,
-    write_coverage_csv,
-    write_losses_csv,
-    write_scores_csv,
 )
 
 SMALL = McConfig(replications=6, n=150, base_seed=77)
@@ -105,13 +106,12 @@ class TestCltExperiment:
         assert payload["config"]["n"] == 150
         assert len(payload["score_stats"]["mean"]) == 3
 
-    def test_scores_csv(self, tmp_path):
+    def test_scores_csv(self):
         summary = run_clt_experiment(SMALL)
-        path = tmp_path / "scores.csv"
-        write_scores_csv(summary, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "replication,design_point,target,score"
-        assert len(lines) == 1 + 6 * 3 * 2
+        columns, rows = scores_table(summary)
+        assert columns == ["replication", "design_point", "target", "score"]
+        assert len(rows) == 6 * 3 * 2
+        assert rows[0] == [0, -0.25, "mean", float(summary.scores["mean"][0, 0])]
 
 
 class TestCoverageExperiment:
@@ -176,14 +176,12 @@ class TestCoverageExperiment:
             covered += bool((scores <= band.q_tau).all())
         assert summary.coverage["mean"][0.05]["covered"] == covered
 
-    def test_coverage_csv(self, tmp_path):
+    def test_coverage_csv(self):
         config = McConfig(replications=4, n=150, base_seed=2)
         summary = run_coverage_experiment(config)
-        path = tmp_path / "coverage.csv"
-        write_coverage_csv(summary, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "target,tau,covered,total,failures,rate"
-        assert len(lines) == 3
+        columns, rows = coverage_table(summary)
+        assert columns == ["target", "tau", "covered", "total", "failures", "rate"]
+        assert [row[:2] for row in rows] == [["mean", 0.05], ["variance", 0.05]]
 
 
 class TestLossCurves:
@@ -219,14 +217,56 @@ class TestLossCurves:
                 first.adjacent[target], second.adjacent[target]
             )
 
-    def test_losses_csv(self, tmp_path):
+    def test_losses_csv(self):
         grid = BandwidthGrid(1.0, 4)
         summary = run_loss_curves(SMALL, grid)
-        path = tmp_path / "losses.csv"
-        write_losses_csv(summary, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "replication,target,bandwidth,sup_loss,adjacent_distance"
-        assert len(lines) == 1 + 3 * 6 * 4
+        columns, rows = losses_table(summary)
+        assert columns == ["replication", "target", "bandwidth", "sup_loss", "adjacent_distance"]
+        assert len(rows) == 3 * 6 * 4
+        # The first grid entry has no previous bandwidth to step from.
+        assert [row[4] is None for row in rows[:4]] == [True, False, False, False]
+
+
+class TestWorkerCap:
+    """The pool never gets more workers than replications or CPUs."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "workers, replications, expected",
+        [(64, 3, [3]), (64, 20, [4]), (3, 20, [3]), (1, 20, []), (64, 1, [])],
+    )
+    def test_pool_size(self, pool_sizes, workers, replications, expected):
+        config = McConfig(replications=replications)
+        squares = montecarlo._map_replications(lambda r: r * r, config, workers)
+        assert squares == [r * r for r in range(replications)]
+        assert pool_sizes == expected
+
+    def test_capped_run_matches_serial(self, pool_sizes):
+        serial = run_clt_experiment(SMALL, workers=1)
+        capped = run_clt_experiment(SMALL, workers=64)
+        assert pool_sizes == [4]
+        for target in ("mean", "variance"):
+            np.testing.assert_array_equal(serial.scores[target], capped.scores[target])
 
 
 class TestConfigValidation:
