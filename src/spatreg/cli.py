@@ -65,23 +65,33 @@ NUMERIC_ERRORS = (
 )
 USAGE_ERRORS = (NegativeVarianceError, TooManySitesError, ValueError)
 
+# Largest design grid --points may ask for.
+MAX_POINTS = 10**6
+
 
 def parse_point_grid(text: str) -> np.ndarray:
     """Parse 'start:step:stop' into an inclusive grid.
 
     The endpoint is snapped to the count implied by rounding
     (stop - start) / step to the nearest integer, so floating-point stops
-    never drop the final point.
+    never drop the final point. Every number must be finite, and a grid of
+    more than MAX_POINTS points is refused before anything is allocated.
     """
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.asarray([float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"points must be 'start:step:stop', got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"points must be finite numbers, got {text!r}")
+    if len(values) == 1:
+        return np.asarray(values)
+    start, step, stop = values
     if step <= 0:
         raise ValueError("point step must be positive")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step  # may overflow to inf
+    if not steps < MAX_POINTS - 0.5:
+        raise ValueError(f"points grid {text!r} has more than {MAX_POINTS} points")
+    count = round(steps)
     if count < 0:
         raise ValueError("stop must not precede start")
     return start + step * np.arange(count + 1)

@@ -213,18 +213,35 @@ def gen_regression(x: np.ndarray, spec: RegressionSpec = DEFAULT_REGRESSION, see
 
 
 def dei_metrics(locations) -> DeiMetrics:
-    """Exact nearest/farthest neighbor diagnostics by pairwise computation."""
+    """Exact nearest/farthest neighbor diagnostics in O(n) memory.
+
+    Nearest distances come from a k-d tree. The farthest point from any
+    point is a vertex of the convex hull, so farthest distances are taken
+    against the h hull vertices only: O(n log n + n h) time. With fewer than
+    three points, or all of them on one line, there is no hull and every
+    point is compared.
+    """
+    # Imported here, not at module level: scipy.spatial adds ~0.12 s to the
+    # start-up of every CLI command, while only simulate uses it.
+    from scipy.spatial import ConvexHull, QhullError, cKDTree
+
     pts = np.asarray(locations, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("locations must have shape (n, 2) with n >= 2")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    nearest = dist.min(axis=1)
+    nearest = cKDTree(pts).query(pts, k=2)[0][:, 1]
     if (nearest == 0).any():
         raise DuplicateLocationError("coincident locations found")
-    np.fill_diagonal(dist, -np.inf)
-    farthest = dist.max(axis=1)
+    hull = pts
+    if pts.shape[0] >= 3:
+        try:
+            hull = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            pass  # collinear
+    farthest = np.empty(pts.shape[0])
+    rows = max(1, 65536 // hull.shape[0])  # distances held at once
+    for start in range(0, pts.shape[0], rows):
+        diff = pts[start : start + rows, None, :] - hull[None, :, :]
+        farthest[start : start + rows] = np.sqrt((diff**2).sum(axis=2)).max(axis=1)
     return DeiMetrics(float(nearest.max()), float(farthest.min()))
 
 

@@ -3,6 +3,11 @@
 Everything is written as plain double loops over Python scalars with exact
 summation, deliberately sharing no code path with the package's vectorized
 estimators. `None` marks degenerate values (the package uses NaN).
+
+The block evaluators at the end (`block_*`) are the dense reference for
+samples too large for the loops: numpy over blocks of points times every
+observation, with this module's own kernel formulas, u computed as
+(p - x) / b, and NaN (not None) for degenerate values.
 """
 
 import math
@@ -117,3 +122,75 @@ def matches(value, ref, rtol=1e-12):
     if math.isnan(value):
         return False
     return abs(value - ref) <= rtol * max(1.0, abs(ref))
+
+
+BLOCK_ROWS = 64
+
+
+def block_kernel(kind, u):
+    """The kernel profile at an array u, exactly zero outside [-1, 1]."""
+    inside = np.abs(u) <= 1.0
+    if kind == "epanechnikov":
+        return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
+    if kind == "uniform":
+        return np.where(inside, 0.5, 0.0)
+    if kind == "triangular":
+        return np.where(inside, 1.0 - np.abs(u), 0.0)
+    raise ValueError(kind)
+
+
+def block_sums(x, targets, points, b, kind):
+    """Per point: sum of K((p - x_j) / b) and of K(.) * targets_j (pairwise sums)."""
+    x = np.asarray(x, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    points = np.asarray(points, dtype=float)
+    mass = np.empty(points.size)
+    weighted = np.empty(points.size)
+    for lo in range(0, points.size, BLOCK_ROWS):
+        w = block_kernel(kind, (points[lo : lo + BLOCK_ROWS, None] - x[None, :]) / b)
+        mass[lo : lo + BLOCK_ROWS] = w.sum(axis=1)
+        weighted[lo : lo + BLOCK_ROWS] = (w * targets).sum(axis=1)
+    return mass, weighted
+
+
+def block_density(x, points, b, kind):
+    mass, _ = block_sums(x, np.zeros(len(x)), points, b, kind)
+    return mass / (len(x) * b)
+
+
+def block_ratio(x, targets, points, b, kind):
+    mass, weighted = block_sums(x, targets, points, b, kind)
+    out = np.full(mass.shape, np.nan)
+    ok = mass >= WEIGHT_FLOOR
+    out[ok] = weighted[ok] / mass[ok]
+    return out
+
+
+def block_jackknife(x, y, points, b, kind):
+    return 2.0 * block_ratio(x, y, points, b, kind) - block_ratio(
+        x, y, points, math.sqrt(2.0) * b, kind
+    )
+
+
+def block_residuals(x, y, b, kind):
+    return np.asarray(y, dtype=float) - block_jackknife(x, y, x, b, kind)
+
+
+def block_variance(x, residuals, points, h, kind):
+    ok = np.isfinite(residuals)
+    return block_ratio(np.asarray(x)[ok], residuals[ok] ** 2, points, h, kind)
+
+
+def block_dei(locations):
+    """(largest nearest-neighbour, smallest farthest-neighbour distance), pairwise."""
+    pts = np.asarray(locations, dtype=float)
+    nearest = np.empty(len(pts))
+    farthest = np.empty(len(pts))
+    for lo in range(0, len(pts), BLOCK_ROWS):
+        d = np.sqrt(((pts[lo : lo + BLOCK_ROWS, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        rows = np.arange(d.shape[0])
+        d[rows, lo + rows] = np.inf
+        nearest[lo : lo + BLOCK_ROWS] = d.min(axis=1)
+        d[rows, lo + rows] = -np.inf
+        farthest[lo : lo + BLOCK_ROWS] = d.max(axis=1)
+    return float(nearest.max()), float(farthest.min())

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from spatreg.cli import main, parse_point_grid
+from spatreg.cli import MAX_POINTS, main, parse_point_grid
 
 
 def run(*argv):
@@ -60,6 +60,11 @@ class TestParsePointGrid:
             parse_point_grid("0:-0.1:1")
         with pytest.raises(ValueError):
             parse_point_grid("1:0.1:0")
+
+    def test_max_points_boundary(self):
+        assert parse_point_grid(f"0:1:{MAX_POINTS - 1}").size == MAX_POINTS
+        with pytest.raises(ValueError, match="more than"):
+            parse_point_grid(f"0:1:{MAX_POINTS}")
 
 
 class TestSimulate:
@@ -333,6 +338,27 @@ class TestExitCodes:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "clt").exists()
+
+    @pytest.mark.parametrize(
+        "points", ["nan", "inf", "-inf", "0:0.1:inf", "0:nan:1", "-inf:0.1:0", "nan:1:2"]
+    )
+    def test_nonfinite_points_are_usage_error(self, sample_csv, tmp_path, capsys, points):
+        code = run("estimate", "--in", sample_csv, "--target", "mean",
+                   "--points", points, "--out", tmp_path / "x.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "finite" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("points", ["0:1e-12:1", "-1e308:1e-308:1e308", "0:1:1000000"])
+    def test_oversized_grid_is_usage_error(self, sample_csv, tmp_path, capsys, points):
+        code = run("band", "--in", sample_csv, "--target", "mean",
+                   "--points", points, "--out", tmp_path / "x.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "more than 1000000 points" in err
 
     def test_unknown_kernel_is_usage_error(self, sample_csv, tmp_path):
         code = run("estimate", "--in", sample_csv, "--target", "mean",
